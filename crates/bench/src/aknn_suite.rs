@@ -35,10 +35,10 @@ use std::path::Path;
 /// adds a `metric` field to every run naming the distance metric the
 /// batch ran under (`l2` for all of the rectangle engine's sweeps). v6
 /// adds the `approx` sweep — the recall-vs-QPS axis: one exact-baseline
-/// row (`approx_backend: "exact"`) plus one row per approximate backend ×
-/// recall dial, every row tagged with its measured `recall_at_k` against
-/// the exact engine. The dial moves recall only; reported distances stay
-/// exact on every row.
+/// row (`approx_backend: "exact"`) plus one VP-tree row
+/// (`approx_backend: "vptree"`) per recall dial, every row tagged with its
+/// measured `recall_at_k` against the exact engine. The dial moves recall
+/// only; reported distances stay exact on every row.
 pub const SCHEMA: &str = "fuzzy-knn/bench-aknn/v6";
 
 /// Which index backend a bench run queries.
@@ -104,12 +104,8 @@ pub struct BenchOptions {
     /// on this same workload, so every speedup in the sweep is
     /// apples-to-apples.
     pub approx_dataset: DatasetSpec,
-    /// Probe-budget ladder of the `approx` sweep's LSH rows (buckets
-    /// probed per table); empty skips the LSH rows.
-    pub lsh_budgets: Vec<f64>,
     /// Pruning-slack ladder (ε) of the `approx` sweep's VP-tree rows;
-    /// empty skips the VP-tree rows. The sweep itself runs whenever
-    /// either ladder is nonempty.
+    /// empty skips the whole sweep.
     pub vptree_slacks: Vec<f64>,
     /// True for the CI smoke configuration (recorded in the report).
     pub smoke: bool,
@@ -145,7 +141,6 @@ impl BenchOptions {
                 seed: 42,
                 radius: Some(6.0),
             },
-            lsh_budgets: vec![1.0, 2.0, 4.0, 8.0],
             vptree_slacks: vec![0.0, 0.5, 1.0, 1.5, 2.0, 3.0],
             smoke: false,
         }
@@ -181,7 +176,6 @@ impl BenchOptions {
                 seed: 42,
                 radius: Some(6.0),
             },
-            lsh_budgets: vec![1.0, 4.0],
             vptree_slacks: vec![0.0, 1.0],
             smoke: true,
         }
@@ -544,12 +538,11 @@ fn record_approx(
 
 /// The `approx` sweep — the recall-vs-QPS axis. One single-threaded
 /// exact-baseline row through `aknn_exact` (the speedup denominator),
-/// then one row per approximate backend × recall dial, each resolving an
-/// LSH or VP-tree candidate pool through the exact probe loop and tagged
-/// with its measured recall@k against the baseline answers. The dial
-/// ladders come from `opts.lsh_budgets` / `opts.vptree_slacks`, each
-/// closed with the backend's `exact` endpoint (recall 1.0 by
-/// construction, asserted here).
+/// then one row per VP-tree slack, each resolving the tree's candidate
+/// pool through the exact probe loop and tagged with its measured
+/// recall@k against the baseline answers. The ladder comes from
+/// `opts.vptree_slacks`, closed with the `exact` endpoint (`ε = +∞`,
+/// recall 1.0 by construction, asserted here).
 fn approx_sweep(
     env: &Env,
     queries: &[fuzzy_core::FuzzyObject<2>],
@@ -557,7 +550,7 @@ fn approx_sweep(
 ) -> Vec<Json> {
     use fuzzy_core::metric::L2;
     use fuzzy_core::Threshold;
-    use fuzzy_index::{LshConfig, LshIndex, RecallDial, VpTree, VpTreeConfig};
+    use fuzzy_index::{slack_label, VpTree, VpTreeConfig};
     use fuzzy_query::{
         approx_aknn_with_scratch, recall_at_k, AknnResult, ApproxConfig, QueryEngine, QueryScratch,
     };
@@ -584,45 +577,24 @@ fn approx_sweep(
         .collect();
     runs.push(record_approx("exact", "exact", k, alpha, &exacts, started.elapsed(), 1.0));
 
-    // Shared measurement loop for the backend rows.
-    let mut measure = |backend: &str,
-                       dial: RecallDial,
-                       go: &mut dyn FnMut(
-        &fuzzy_core::FuzzyObject<2>,
-        &ApproxConfig,
-        &mut QueryScratch<2>,
-    ) -> AknnResult| {
-        let cfg = ApproxConfig::at(dial);
+    let vp = VpTree::build(&L2, env.store.summaries(), VpTreeConfig::default());
+    for &slack in opts.vptree_slacks.iter().chain([&f64::INFINITY]) {
+        let cfg = ApproxConfig::at(slack);
         let started = Instant::now();
-        let results: Vec<AknnResult> = queries.iter().map(|q| go(q, &cfg, &mut scratch)).collect();
+        let results: Vec<AknnResult> = queries
+            .iter()
+            .map(|q| {
+                approx_aknn_with_scratch(&L2, &vp, &env.store, q, k, t, &cfg, &mut scratch)
+                    .expect("vptree approx query")
+            })
+            .collect();
         let batch = started.elapsed();
         let recall = results.iter().zip(&exacts).map(|(a, e)| recall_at_k(a, e)).sum::<f64>()
             / results.len().max(1) as f64;
-        if matches!(dial, RecallDial::Exact) {
-            assert_eq!(recall, 1.0, "{backend}: the exact dial must have recall 1.0");
+        if slack == f64::INFINITY {
+            assert_eq!(recall, 1.0, "the exact dial must have recall 1.0");
         }
-        runs.push(record_approx(backend, &dial.label(), k, alpha, &results, batch, recall));
-    };
-
-    if !opts.lsh_budgets.is_empty() {
-        let lsh = LshIndex::build(env.store.summaries(), LshConfig::default());
-        let dials = opts.lsh_budgets.iter().map(|&b| RecallDial::Budget(b));
-        for dial in dials.chain([RecallDial::Exact]) {
-            measure("lsh", dial, &mut |q, cfg, scratch| {
-                approx_aknn_with_scratch(&L2, &lsh, &env.store, q, k, t, cfg, scratch)
-                    .expect("lsh approx query")
-            });
-        }
-    }
-    if !opts.vptree_slacks.is_empty() {
-        let vp = VpTree::build(&L2, env.store.summaries(), VpTreeConfig::default());
-        let dials = opts.vptree_slacks.iter().map(|&e| RecallDial::Budget(e));
-        for dial in dials.chain([RecallDial::Exact]) {
-            measure("vptree", dial, &mut |q, cfg, scratch| {
-                approx_aknn_with_scratch(&L2, &vp, &env.store, q, k, t, cfg, scratch)
-                    .expect("vptree approx query")
-            });
-        }
+        runs.push(record_approx("vptree", &slack_label(slack), k, alpha, &results, batch, recall));
     }
     runs
 }
@@ -699,7 +671,7 @@ pub fn run(opts: &BenchOptions) -> Json {
     if !opts.shard_counts.is_empty() {
         runs.extend(shard_sweep(&env, &queries, opts));
     }
-    if !opts.lsh_budgets.is_empty() || !opts.vptree_slacks.is_empty() {
+    if !opts.vptree_slacks.is_empty() {
         let approx_env = Env::prepare(&opts.approx_dataset);
         let approx_queries = opts.approx_dataset.queries(opts.queries);
         runs.extend(approx_sweep(&approx_env, &approx_queries, opts));
@@ -747,10 +719,6 @@ pub fn run(opts: &BenchOptions) -> Json {
                 (
                     "shard_counts",
                     Json::Arr(opts.shard_counts.iter().map(|&s| Json::num(s as f64)).collect()),
-                ),
-                (
-                    "lsh_budgets",
-                    Json::Arr(opts.lsh_budgets.iter().map(|&b| Json::num(b)).collect()),
                 ),
                 (
                     "vptree_slacks",
@@ -884,13 +852,13 @@ mod tests {
             );
         }
         // The approx sweep carries the recall axis: an exact baseline row
-        // at recall 1.0 plus both backends' dial ladders, each closed
-        // with an exact-dial endpoint that must also hit recall 1.0.
+        // at recall 1.0 plus the VP-tree's dial ladder, closed with an
+        // exact-dial endpoint that must also hit recall 1.0.
         let approx_rows: Vec<_> = runs
             .iter()
             .filter(|r| r.get("sweep").and_then(Json::as_str) == Some("approx"))
             .collect();
-        for backend in ["exact", "lsh", "vptree"] {
+        for backend in ["exact", "vptree"] {
             assert!(
                 approx_rows
                     .iter()

@@ -20,9 +20,8 @@
 //! fkq build-index road.fzkn --metric graph --graph road.fzrn --out road.fzmt
 //! fkq aknn road.fzkn --k 5 --alpha 0.5 --metric graph --graph road.fzrn --index-file road.fzmt
 //! fkq aknn road.fzkn --k 5 --alpha 0.5 --metric graph --graph road.fzrn --brute true
-//! fkq build-index cells.fzkn --approx lsh --out cells.fzlh
-//! fkq build-index cells.fzkn --approx vptree --out cells.fzvp
-//! fkq aknn cells.fzkn --k 10 --alpha 0.5 --index-file cells.fzlh --recall-dial 4 --measure-recall true
+//! fkq build-index cells.fzkn --out cells.fzvp
+//! fkq aknn cells.fzkn --k 10 --alpha 0.5 --index-file cells.fzvp --recall-dial 0.5 --measure-recall true
 //! fkq aknn cells.fzkn --k 10 --alpha 0.5 --index-file cells.fzvp --recall-dial exact
 //! ```
 //!
@@ -74,11 +73,11 @@ const USAGE: &str = "usage:
   fkq build-index <path> --out <index-path> [--page-size <bytes>] [--max-entries <n>] \
 [--min-fill <f>] [--shards <n>] [--shard-strategy <str|mass>] \
 [--metric <l2|graph>] [--graph <net.fzrn>] [--fanout <n>] \
-[--approx <lsh|vptree>] [--tables <n>] [--hashes <n>] [--leaf-size <n>] [--fof-neighbors <n>]
+[--leaf-size <n>] [--fof-neighbors <n>]
   fkq aknn <path> --k <k> --alpha <a> [--variant <basic|lb|lb-lp|lb-lp-ub>] [--query-seed <u64>] \
 [--index-file <path>] [--cache-pages <n>] [--server <addr>] [--deadline-ms <n>] \
 [--metric <l2|graph>] [--graph <net.fzrn>] [--brute <true|false>] \
-[--approx <lsh|vptree>] [--recall-dial <exact|v>] [--measure-recall <true|false>]
+[--recall-dial <exact|slack>] [--measure-recall <true|false>]
   fkq rknn <path> --k <k> --start <a> --end <a> [--algo <naive|basic|rss|rss-icr>] \
 [--query-seed <u64>] [--index-file <path>] [--cache-pages <n>] [--server <addr>] \
 [--deadline-ms <n>]
@@ -91,7 +90,7 @@ const USAGE: &str = "usage:
 [--backend <mem|paged>] [--page-size <bytes>] \
 [--cache-pages <n>] [--mutation-rate <f>] [--approx-sweep <true|false>] \
 [--approx-n <count>] [--approx-ppo <points>] [--approx-seed <u64>] [--approx-radius <r>] \
-[--lsh-budgets <csv>] [--vptree-slacks <csv>]
+[--vptree-slacks <csv>]
   fkq serve <path> [--listen <host:port|unix:path>] [--index-file <path>] [--workers <n>] \
 [--queue-depth <n>] [--cache-pages <n>]
   fkq loadgen --addr <host:port|unix:path> [--qps <csv>] [--duration <secs>] \
@@ -305,7 +304,7 @@ fn run_metric_aknn<M: Metric<2>>(
         metric_aknn_brute(metric, store, &store.ids(), q, k, t)
     } else {
         let tree = mtree_for(metric, store, flags);
-        metric_aknn(metric, &tree, store, q, k, t)
+        metric_aknn(metric, &tree, store, q, k, t, None)
     }
     .unwrap_or_else(|e| {
         eprintln!("query failed: {e}");
@@ -400,14 +399,10 @@ fn bench(flags: &HashMap<String, String>) {
     if let Some(shards) = csv_list(flags, "shard-counts") {
         opts.shard_counts = shards;
     }
-    if let Some(budgets) = csv_list(flags, "lsh-budgets") {
-        opts.lsh_budgets = budgets;
-    }
     if let Some(slacks) = csv_list(flags, "vptree-slacks") {
         opts.vptree_slacks = slacks;
     }
     if let Some(false) = get(flags, "approx-sweep") {
-        opts.lsh_budgets.clear();
         opts.vptree_slacks.clear();
     }
 
@@ -812,8 +807,8 @@ fn build_index(path: &str, flags: &HashMap<String, String>) {
     let store = open(path);
     let out = flags.get("out").cloned().unwrap_or_else(|| usage());
     let metric_name = flags.get("metric").map(String::as_str).unwrap_or("l2");
-    if flags.contains_key("approx") || out.ends_with(".fzlh") || out.ends_with(".fzvp") {
-        build_approx_index(&store, &out, flags);
+    if out.ends_with(".fzvp") {
+        build_vptree_index(&store, &out, flags);
         return;
     }
     if out.ends_with(".fzmt") || metric_name == "graph" {
@@ -884,72 +879,27 @@ fn build_index(path: &str, flags: &HashMap<String, String>) {
     );
 }
 
-/// Build and persist an approximate candidate index: `--approx lsh` to a
-/// `.fzlh` multi-probe hash table file, `--approx vptree` to a `.fzvp`
-/// vantage-point tree (both L2, see `docs/FORMAT.md`). The backend can
-/// also be inferred from the output extension.
-fn build_approx_index(store: &FileStore<2>, out: &str, flags: &HashMap<String, String>) {
-    let backend = match flags.get("approx").map(String::as_str) {
-        Some(b) => b.to_string(),
-        None if out.ends_with(".fzlh") => "lsh".into(),
-        None => "vptree".into(),
+/// Build and persist a `.fzvp` vantage-point tree over the store's
+/// expected centers (L2, see `docs/FORMAT.md`): the approximate path's
+/// candidate generator.
+fn build_vptree_index(store: &FileStore<2>, out: &str, flags: &HashMap<String, String>) {
+    let defaults = fuzzy_index::VpTreeConfig::default();
+    let config = fuzzy_index::VpTreeConfig {
+        leaf_size: get(flags, "leaf-size").unwrap_or(defaults.leaf_size),
+        fof_neighbors: get(flags, "fof-neighbors").unwrap_or(defaults.fof_neighbors),
     };
-    let fof_neighbors: usize =
-        get(flags, "fof-neighbors").unwrap_or(fuzzy_index::LshConfig::default().fof_neighbors);
     let started = std::time::Instant::now();
-    match backend.as_str() {
-        "lsh" => {
-            if !out.ends_with(".fzlh") {
-                eprintln!("--approx lsh output path must end in .fzlh (got {out})");
-                exit(1)
-            }
-            let defaults = fuzzy_index::LshConfig::default();
-            let config = fuzzy_index::LshConfig {
-                tables: get(flags, "tables").unwrap_or(defaults.tables),
-                hashes: get(flags, "hashes").unwrap_or(defaults.hashes),
-                fof_neighbors,
-                ..defaults
-            };
-            let index = fuzzy_index::LshIndex::build(store.summaries(), config);
-            index.save(out).unwrap_or_else(|e| {
-                eprintln!("cannot write LSH index: {e}");
-                exit(1)
-            });
-            println!(
-                "wrote {out}: {} objects, lsh backend ({} tables x {} hashes), {:?}",
-                fuzzy_index::ApproxIndex::len(&index),
-                config.tables,
-                config.hashes,
-                started.elapsed()
-            );
-        }
-        "vptree" => {
-            if !out.ends_with(".fzvp") {
-                eprintln!("--approx vptree output path must end in .fzvp (got {out})");
-                exit(1)
-            }
-            let defaults = fuzzy_index::VpTreeConfig::default();
-            let config = fuzzy_index::VpTreeConfig {
-                leaf_size: get(flags, "leaf-size").unwrap_or(defaults.leaf_size),
-                fof_neighbors,
-            };
-            let index = fuzzy_index::VpTree::build(&L2, store.summaries(), config);
-            index.save(out).unwrap_or_else(|e| {
-                eprintln!("cannot write VP-tree index: {e}");
-                exit(1)
-            });
-            println!(
-                "wrote {out}: {} objects, vptree backend (leaf size {}), {:?}",
-                fuzzy_index::ApproxIndex::len(&index),
-                config.leaf_size,
-                started.elapsed()
-            );
-        }
-        other => {
-            eprintln!("unknown approx backend {other} (expected lsh or vptree)");
-            usage()
-        }
-    }
+    let index = fuzzy_index::VpTree::build(&L2, store.summaries(), config);
+    index.save(out).unwrap_or_else(|e| {
+        eprintln!("cannot write VP-tree index: {e}");
+        exit(1)
+    });
+    println!(
+        "wrote {out}: {} objects, vptree (leaf size {}), {:?}",
+        index.len(),
+        config.leaf_size,
+        started.elapsed()
+    );
 }
 
 /// Build and persist a `.fzmt` M-tree over a store under `--metric`
@@ -1046,19 +996,12 @@ fn run_aknn<A: NodeAccess<2>>(
     );
 }
 
-/// Resolve the `--recall-dial` flag (`exact` or a numeric budget/slack).
-fn recall_dial(flags: &HashMap<String, String>) -> fuzzy_index::RecallDial {
-    let raw = flags.get("recall-dial").map(String::as_str).unwrap_or("1");
-    fuzzy_index::RecallDial::parse(raw).unwrap_or_else(|| {
-        eprintln!("bad --recall-dial {raw}: expected 'exact' or a finite value >= 0");
-        usage()
-    })
-}
-
-/// AKNN through the approximate path: a candidate pool from an LSH or
-/// VP-tree index, resolved through the exact probe loop — distances stay
-/// exact, only recall follows the dial. `--measure-recall true` runs the
-/// exact engine alongside and prints the measured recall@k.
+/// AKNN through the approximate path: a candidate pool from a VP-tree
+/// (`--index-file *.fzvp`, or built in memory), resolved through the
+/// exact probe loop — distances stay exact, only recall follows the
+/// `--recall-dial` slack (`exact` or a finite value ≥ 0).
+/// `--measure-recall true` runs the exact engine alongside and prints the
+/// measured recall@k.
 fn run_approx_aknn(
     store: &FileStore<2>,
     q: &FuzzyObject<2>,
@@ -1070,81 +1013,47 @@ fn run_approx_aknn(
         eprintln!("--alpha must lie in (0, 1]; got {alpha}");
         exit(1)
     }
-    let t = Threshold::at(alpha);
-    let dial = recall_dial(flags);
-    let cfg = fuzzy_query::ApproxConfig::at(dial);
-
-    // The trait's `candidates` hook is generic over the metric, so the
-    // backend dispatch is static: each arm answers through the same
-    // generic closure with its concrete index type.
-    let answer = |res: fuzzy_query::AknnResult, backend: &str| {
-        println!("{k}NN of {} at α = {alpha} (approx {backend}, dial {}):", q.id(), dial.label());
-        for n in &res.neighbors {
-            println!("  {n}");
-        }
-        println!(
-            "cost: {} object accesses, {} bound evals, {:?}",
-            res.stats.object_accesses, res.stats.bound_evals, res.stats.wall
-        );
-        if get::<bool>(flags, "measure-recall").unwrap_or(false) {
-            let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
-            let exact = QueryEngine::new(&tree, store)
-                .aknn(q, k, alpha, &AknnConfig::lb_lp_ub())
-                .unwrap_or_else(|e| {
-                    eprintln!("exact reference failed: {e}");
-                    exit(1)
-                });
-            println!("recall@{k}: {:.4}", fuzzy_query::recall_at_k(&res, &exact));
+    let raw = flags.get("recall-dial").map(String::as_str).unwrap_or("1");
+    let slack = fuzzy_index::parse_slack(raw).unwrap_or_else(|| {
+        eprintln!("bad --recall-dial {raw}: expected 'exact' or a finite value >= 0");
+        usage()
+    });
+    let index = match flags.get("index-file") {
+        Some(ix) => fuzzy_index::VpTree::load(ix, &L2).unwrap_or_else(|e| {
+            eprintln!("cannot open VP-tree index {ix}: {e}");
+            exit(1)
+        }),
+        None => {
+            fuzzy_index::VpTree::build(&L2, store.summaries(), fuzzy_index::VpTreeConfig::default())
         }
     };
-    let run = |index: &dyn Fn() -> Result<fuzzy_query::AknnResult, fuzzy_query::QueryError>,
-               backend: &str| {
-        let res = index().unwrap_or_else(|e| {
+    let cfg = fuzzy_query::ApproxConfig::at(slack);
+    let res = fuzzy_query::approx_aknn(&L2, &index, store, q, k, Threshold::at(alpha), &cfg)
+        .unwrap_or_else(|e| {
             eprintln!("query failed: {e}");
             exit(1)
         });
-        answer(res, backend);
-    };
-    match flags.get("index-file") {
-        Some(ix) if ix.ends_with(".fzlh") => {
-            let index = fuzzy_index::LshIndex::load(ix).unwrap_or_else(|e| {
-                eprintln!("cannot open LSH index {ix}: {e}");
+    println!(
+        "{k}NN of {} at α = {alpha} (approx vptree, dial {}):",
+        q.id(),
+        fuzzy_index::slack_label(slack)
+    );
+    for n in &res.neighbors {
+        println!("  {n}");
+    }
+    println!(
+        "cost: {} object accesses, {} bound evals, {:?}",
+        res.stats.object_accesses, res.stats.bound_evals, res.stats.wall
+    );
+    if get::<bool>(flags, "measure-recall").unwrap_or(false) {
+        let tree = RTree::bulk_load(store.summaries().to_vec(), RTreeConfig::default());
+        let exact = QueryEngine::new(&tree, store)
+            .aknn(q, k, alpha, &AknnConfig::lb_lp_ub())
+            .unwrap_or_else(|e| {
+                eprintln!("exact reference failed: {e}");
                 exit(1)
             });
-            run(&|| fuzzy_query::approx_aknn(&L2, &index, store, q, k, t, &cfg), "lsh");
-        }
-        Some(ix) if ix.ends_with(".fzvp") => {
-            let index = fuzzy_index::VpTree::load(ix, &L2).unwrap_or_else(|e| {
-                eprintln!("cannot open VP-tree index {ix}: {e}");
-                exit(1)
-            });
-            run(&|| fuzzy_query::approx_aknn(&L2, &index, store, q, k, t, &cfg), "vptree");
-        }
-        Some(ix) => {
-            eprintln!("approximate queries need a .fzlh or .fzvp index; got {ix}");
-            exit(1)
-        }
-        None => match flags.get("approx").map(String::as_str).unwrap_or("lsh") {
-            "lsh" => {
-                let index = fuzzy_index::LshIndex::build(
-                    store.summaries(),
-                    fuzzy_index::LshConfig::default(),
-                );
-                run(&|| fuzzy_query::approx_aknn(&L2, &index, store, q, k, t, &cfg), "lsh");
-            }
-            "vptree" => {
-                let index = fuzzy_index::VpTree::build(
-                    &L2,
-                    store.summaries(),
-                    fuzzy_index::VpTreeConfig::default(),
-                );
-                run(&|| fuzzy_query::approx_aknn(&L2, &index, store, q, k, t, &cfg), "vptree");
-            }
-            other => {
-                eprintln!("unknown approx backend {other} (expected lsh or vptree)");
-                usage()
-            }
-        },
+        println!("recall@{k}: {:.4}", fuzzy_query::recall_at_k(&res, &exact));
     }
 }
 
@@ -1153,9 +1062,8 @@ fn aknn(path: &str, flags: &HashMap<String, String>) {
     let k: usize = get(flags, "k").unwrap_or(10);
     let alpha: f64 = get(flags, "alpha").unwrap_or(0.5);
     let q = query_object(&store, flags);
-    let wants_approx = flags.contains_key("approx")
-        || flags.contains_key("recall-dial")
-        || flags.get("index-file").is_some_and(|ix| ix.ends_with(".fzlh") || ix.ends_with(".fzvp"));
+    let wants_approx = flags.contains_key("recall-dial")
+        || flags.get("index-file").is_some_and(|ix| ix.ends_with(".fzvp"));
     if wants_approx {
         run_approx_aknn(&store, &q, k, alpha, flags);
         return;

@@ -631,7 +631,7 @@ mod tests {
     fn save_load_roundtrip_is_bitwise() {
         let objects = dataset(40);
         let tree = MTree::build(&L2, &objects, MTreeConfig::default());
-        let dir = std::env::temp_dir().join("fzmt_roundtrip_test");
+        let dir = std::env::temp_dir().join(format!("fzmt-roundtrip-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.fzmt");
         tree.save(&path).unwrap();
@@ -655,14 +655,14 @@ mod tests {
             }
         }
         assert!(matches!(MTree::<2>::load(&path, &FakeMetric), Err(StoreError::Corrupt { .. })));
-        fs::remove_file(&path).ok();
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn corrupted_file_is_rejected() {
         let objects = dataset(10);
         let tree = MTree::build(&L2, &objects, MTreeConfig::default());
-        let dir = std::env::temp_dir().join("fzmt_corrupt_test");
+        let dir = std::env::temp_dir().join(format!("fzmt-corrupt-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.fzmt");
         tree.save(&path).unwrap();
@@ -671,7 +671,7 @@ mod tests {
         bytes[mid] ^= 0xff;
         fs::write(&path, &bytes).unwrap();
         assert!(matches!(MTree::<2>::load(&path, &L2), Err(StoreError::Corrupt { .. })));
-        fs::remove_file(&path).ok();
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

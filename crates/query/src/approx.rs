@@ -1,10 +1,9 @@
 //! Approximate AKNN: dialed recall, exact distances.
 //!
-//! [`approx_aknn`] answers the paper's AKNN query through an
-//! [`ApproxIndex`] candidate generator instead of a tree traversal. The
-//! backend proposes a deterministic candidate pool from per-object
-//! expected centers ([`fuzzy_index::lsh`] / [`fuzzy_index::vptree`],
-//! reach set by the [`RecallDial`]); this module then **resolves** the
+//! [`approx_aknn`] answers the paper's AKNN query through a [`VpTree`]
+//! candidate generator instead of an exact tree traversal. The tree
+//! proposes a deterministic candidate pool from per-object expected
+//! centers (reach set by its ε slack); this module then **resolves** the
 //! pool through the same exact probe loop the tree engines use —
 //! τ-seeded [`Metric::alpha_distance_sq_bounded`] probes with the
 //! [`QueryScratch`] seed tracker — and finishes with optional
@@ -14,8 +13,9 @@
 //! The contract worth repeating: **every returned distance is an exact
 //! α-distance, bit-identical to what the exact engine would report for
 //! that object**. The dial moves only *which* objects make it into the
-//! pool, i.e. recall; `RecallDial::Exact` makes the pool exhaustive, and
-//! the answer equals exact AKNN in canonical `(distance, id)` order.
+//! pool, i.e. recall; an infinite slack (the `exact` dial) makes the pool
+//! exhaustive, and the answer is the exact top-k in canonical
+//! `(distance, id)` order.
 //!
 //! [`recall_at_k`] is the measurement harness: the fraction of the exact
 //! oracle's answer ids an approximate answer recovered, the quantity the
@@ -28,42 +28,41 @@ use crate::result::{AknnResult, DistBound, Neighbor};
 use crate::stats::QueryStats;
 use fuzzy_core::metric::Metric;
 use fuzzy_core::{FuzzyObject, ObjectId, Threshold};
-use fuzzy_index::ApproxIndex;
+use fuzzy_index::VpTree;
 use fuzzy_store::ObjectStore;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
-pub use fuzzy_index::RecallDial;
-
 /// Knobs of the approximate query path.
 #[derive(Clone, Copy, Debug)]
 pub struct ApproxConfig {
-    /// How far the candidate generation reaches (see [`RecallDial`]).
-    pub dial: RecallDial,
+    /// How far the candidate generation reaches: the VP-tree's ε slack
+    /// (`≥ 0`; `+∞` makes the pool exhaustive, see
+    /// [`fuzzy_index::parse_slack`]).
+    pub slack: f64,
     /// Friend-of-a-friend refinement rounds after the initial pool
-    /// resolves (0 disables; ignored at `RecallDial::Exact`, where the
-    /// pool is already exhaustive). A round stops early when it probes
-    /// nothing new.
+    /// resolves (0 disables). A round stops early when it finds nothing
+    /// unprobed, which at an infinite slack is the first round.
     pub fof_rounds: u32,
 }
 
 impl ApproxConfig {
-    /// Default path at a given dial: one FoF refinement round.
-    pub fn at(dial: RecallDial) -> Self {
-        Self { dial, fof_rounds: 1 }
+    /// Default path at a given slack: one FoF refinement round.
+    pub fn at(slack: f64) -> Self {
+        Self { slack, fof_rounds: 1 }
     }
 }
 
 impl Default for ApproxConfig {
     fn default() -> Self {
-        Self::at(RecallDial::Budget(1.0))
+        Self::at(1.0)
     }
 }
 
 /// Approximate AKNN with a fresh scratch; see [`approx_aknn_with_scratch`].
-pub fn approx_aknn<M, X, S, const D: usize>(
+pub fn approx_aknn<M, S, const D: usize>(
     metric: &M,
-    index: &X,
+    index: &VpTree<D>,
     store: &S,
     q: &FuzzyObject<D>,
     k: usize,
@@ -72,28 +71,27 @@ pub fn approx_aknn<M, X, S, const D: usize>(
 ) -> Result<AknnResult, QueryError>
 where
     M: Metric<D> + ?Sized,
-    X: ApproxIndex<D>,
     S: ObjectStore<D>,
 {
     approx_aknn_with_scratch(metric, index, store, q, k, t, cfg, &mut QueryScratch::new())
 }
 
 /// k nearest objects to `q` at threshold `t`, candidate-generated by
-/// `index` at `cfg.dial` and resolved exactly against `store` under
+/// `index` at `cfg.slack` and resolved exactly against `store` under
 /// `metric` (which must match the metric the index was built under; the
 /// file loaders enforce the pairing by name, in-process callers must
 /// uphold it).
 ///
 /// Returns exact neighbours in canonical `(distance, id)` order — the
 /// same pairs the exact engine would return for these objects — with
-/// recall governed by the dial. Costs are accounted in the exact
+/// recall governed by the slack. Costs are accounted in the exact
 /// engine's units: `bound_evals` per candidate center bound,
 /// `object_accesses` per store probe that hit disk, `distance_evals` per
 /// α-distance evaluation.
 #[allow(clippy::too_many_arguments)]
-pub fn approx_aknn_with_scratch<M, X, S, const D: usize>(
+pub fn approx_aknn_with_scratch<M, S, const D: usize>(
     metric: &M,
-    index: &X,
+    index: &VpTree<D>,
     store: &S,
     q: &FuzzyObject<D>,
     k: usize,
@@ -103,7 +101,6 @@ pub fn approx_aknn_with_scratch<M, X, S, const D: usize>(
 ) -> Result<AknnResult, QueryError>
 where
     M: Metric<D> + ?Sized,
-    X: ApproxIndex<D>,
     S: ObjectStore<D>,
 {
     if k == 0 {
@@ -117,7 +114,7 @@ where
     let (q_rep, q_spread) = query_ball(metric, q);
 
     let mut pool_ids: Vec<ObjectId> = Vec::new();
-    index.candidates(metric, &q_rep, k, cfg.dial, &mut pool_ids);
+    index.candidates(metric, &q_rep, k, cfg.slack, &mut pool_ids);
 
     // Exact results so far, sorted by (squared distance, id); the scratch
     // seed tracker holds every probed exact distance, so its k-th
@@ -130,35 +127,33 @@ where
     let mut pool = rank_pool(metric, index, &q_rep, &pool_ids, &mut stats);
     resolve(metric, store, q, k, t, q_spread, &pool, seeds, &mut found, &mut probed, &mut stats)?;
 
-    if cfg.dial != RecallDial::Exact {
-        for _ in 0..cfg.fof_rounds {
-            let frontier: Vec<ObjectId> = found.iter().map(|&(_, id)| id).collect();
-            pool_ids.clear();
-            for fid in frontier {
-                pool_ids.extend(
-                    index.neighbors_of(fid).iter().copied().filter(|nid| !probed.contains(nid)),
-                );
-            }
-            pool_ids.sort_unstable();
-            pool_ids.dedup();
-            if pool_ids.is_empty() {
-                break;
-            }
-            pool = rank_pool(metric, index, &q_rep, &pool_ids, &mut stats);
-            resolve(
-                metric,
-                store,
-                q,
-                k,
-                t,
-                q_spread,
-                &pool,
-                seeds,
-                &mut found,
-                &mut probed,
-                &mut stats,
-            )?;
+    for _ in 0..cfg.fof_rounds {
+        let frontier: Vec<ObjectId> = found.iter().map(|&(_, id)| id).collect();
+        pool_ids.clear();
+        for fid in frontier {
+            pool_ids.extend(
+                index.neighbors_of(fid).iter().copied().filter(|nid| !probed.contains(nid)),
+            );
         }
+        pool_ids.sort_unstable();
+        pool_ids.dedup();
+        if pool_ids.is_empty() {
+            break;
+        }
+        pool = rank_pool(metric, index, &q_rep, &pool_ids, &mut stats);
+        resolve(
+            metric,
+            store,
+            q,
+            k,
+            t,
+            q_spread,
+            &pool,
+            seeds,
+            &mut found,
+            &mut probed,
+            &mut stats,
+        )?;
     }
 
     stats.wall = start.elapsed();
@@ -171,16 +166,15 @@ where
 
 /// Candidate ids → (center distance, spread, id), sorted nearest-center
 /// first with id tie-breaks — the deterministic probe order.
-fn rank_pool<M, X, const D: usize>(
+fn rank_pool<M, const D: usize>(
     metric: &M,
-    index: &X,
+    index: &VpTree<D>,
     q_rep: &fuzzy_geom::Point<D>,
     ids: &[ObjectId],
     stats: &mut QueryStats,
 ) -> Vec<(f64, f64, ObjectId)>
 where
     M: Metric<D> + ?Sized,
-    X: ApproxIndex<D>,
 {
     let mut pool: Vec<(f64, f64, ObjectId)> = Vec::with_capacity(ids.len());
     for &id in ids {

@@ -28,11 +28,11 @@
 //!   (`fuzzy_index::MutableIndex`: insert/delete/update on the in-memory
 //!   tree or the paged-overlay backend) safe under concurrent reads —
 //!   writers publish frozen snapshots, in-flight queries keep theirs.
-//! * **Approximate AKNN** ([`approx`]): candidate pools from an
-//!   `fuzzy_index::ApproxIndex` backend (multi-probe LSH or VP-tree over
-//!   expected centers), resolved through the exact probe loop and
-//!   optionally refined friend-of-a-friend — exact distances always,
-//!   recall set by the [`RecallDial`], measured by [`recall_at_k`].
+//! * **Approximate AKNN** ([`approx`]): candidate pools from a
+//!   `fuzzy_index::VpTree` over expected centers, resolved through the
+//!   exact probe loop and optionally refined friend-of-a-friend — exact
+//!   distances always, recall set by the tree's ε slack, measured by
+//!   [`recall_at_k`].
 //! * **Shard forests** ([`shard`]): scatter-gather over a
 //!   `fuzzy_index::ShardedIndex` partition — per-shard bound-only
 //!   searches under a shared τ bound ([`SharedTau`]), then one global
@@ -60,7 +60,7 @@ pub mod stats;
 pub mod sweep;
 
 pub use aknn::{AknnConfig, QueryScratch};
-pub use approx::{approx_aknn, approx_aknn_with_scratch, recall_at_k, ApproxConfig, RecallDial};
+pub use approx::{approx_aknn, approx_aknn_with_scratch, recall_at_k, ApproxConfig};
 pub use batch::{
     execute_caught, execute_caught_sharded, execute_one, execute_one_sharded, BatchExecutor,
     BatchOutcome, BatchRequest, BatchResponse, ThreadStats,

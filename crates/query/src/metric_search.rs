@@ -26,7 +26,7 @@
 //! metric-search suite), while the *costs* differ because ball bounds are
 //! looser than box bounds.
 
-use crate::aknn::inflate_sq;
+use crate::aknn::{check_deadline, inflate_sq};
 use crate::error::QueryError;
 use crate::result::{AknnResult, DistBound, Neighbor};
 use crate::stats::QueryStats;
@@ -70,6 +70,10 @@ pub(crate) fn ball_lb_sq(d: f64, q_spread: f64, other_radius: f64) -> f64 {
 /// accounted in the same units as the rectangle engine: `node_accesses`
 /// per expanded node, `object_accesses` per store probe, `distance_evals`
 /// per exact α-distance evaluation, `bound_evals` per entry bound.
+///
+/// `deadline` (`None` never expires) is checked before every node
+/// expansion and every probe, like the rectangle engine's; once it has
+/// passed the search aborts with [`QueryError::DeadlineExceeded`].
 pub fn metric_aknn<M: Metric<D>, S: ObjectStore<D>, const D: usize>(
     metric: &M,
     tree: &MTree<D>,
@@ -77,6 +81,7 @@ pub fn metric_aknn<M: Metric<D>, S: ObjectStore<D>, const D: usize>(
     q: &FuzzyObject<D>,
     k: usize,
     t: Threshold,
+    deadline: Option<Instant>,
 ) -> Result<AknnResult, QueryError> {
     if k == 0 {
         return Err(QueryError::ZeroK);
@@ -114,6 +119,7 @@ pub fn metric_aknn<M: Metric<D>, S: ObjectStore<D>, const D: usize>(
         if found.len() == k && key > inflate_sq(tau_sq(&found)) {
             break;
         }
+        check_deadline(deadline)?;
         match item {
             Pending::Node(id) => {
                 stats.node_accesses += 1;

@@ -29,7 +29,8 @@
 //! contend) and shard-parallel compaction.
 
 use crate::aknn::{
-    resolve_pool, search, AknnConfig, FoundNeighbor, QueryScratch, SearchMode, SearchOutcome,
+    inflate_sq, resolve_pool, search, AknnConfig, FoundNeighbor, QueryScratch, SearchMode,
+    SearchOutcome,
 };
 use crate::epoch::Versioned;
 use crate::error::QueryError;
@@ -121,15 +122,6 @@ fn canonical_cmp<const D: usize>(a: &FoundNeighbor<D>, b: &FoundNeighbor<D>) -> 
     a.dist.hi().total_cmp(&b.dist.hi()).then(a.id.cmp(&b.id))
 }
 
-/// Match the ulp inflation of the search-internal bound comparisons (see
-/// `aknn::inflate_sq`): a merged k-th distance is published with this
-/// slack so the sqrt→square round trip can never tighten τ below the
-/// true k-th squared distance.
-#[inline]
-fn inflate_sq(hi_sq: f64) -> f64 {
-    hi_sq * (1.0 + 1e-12) + f64::MIN_POSITIVE
-}
-
 /// Scatter-gather AKNN over a shard forest: per-shard *lazy* best-first
 /// searches sharing τ through `SharedTau`, then one gather phase
 /// ([`crate::aknn::resolve_pool`]) that resolves the merged candidate
@@ -202,11 +194,7 @@ pub(crate) fn sharded_search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, 
             shared,
             if pruned { &carry } else { &[] },
         )?;
-        stats.object_accesses += out.stats.object_accesses;
-        stats.node_accesses += out.stats.node_accesses;
-        stats.node_disk_reads += out.stats.node_disk_reads;
-        stats.distance_evals += out.stats.distance_evals;
-        stats.bound_evals += out.stats.bound_evals;
+        stats += out.stats;
         pool.extend(out.neighbors);
         if pruned {
             carry.clear();
@@ -215,6 +203,9 @@ pub(crate) fn sharded_search<M: Metric<D>, A: NodeAccess<D>, S: ObjectStore<D>, 
                 (n.id, if h.is_finite() { h * h } else { f64::INFINITY })
             }));
             if pool.len() >= k {
+                // Published with the search-internal ulp inflation, so the
+                // sqrt→square round trip can never tighten τ below the
+                // true k-th squared distance.
                 hi_tmp.clear();
                 hi_tmp.extend(carry.iter().map(|&(_, h)| h));
                 let (_, kth, _) = hi_tmp.select_nth_unstable_by(k - 1, |a, b| a.total_cmp(b));
@@ -449,12 +440,7 @@ where
     for lt in left_shards {
         for rt in right_shards {
             let part = alpha_distance_join(lt, left_store, rt, right_store, t, radius, cfg)?;
-            stats.object_accesses += part.stats.object_accesses;
-            stats.node_accesses += part.stats.node_accesses;
-            stats.node_disk_reads += part.stats.node_disk_reads;
-            stats.distance_evals += part.stats.distance_evals;
-            stats.bound_evals += part.stats.bound_evals;
-            stats.candidates += part.stats.candidates;
+            stats += part.stats;
             pairs.extend(part.pairs);
         }
     }
@@ -588,21 +574,31 @@ where
         Ok(None)
     }
 
-    /// Replace a summary: delete wherever it lives, reinsert into that
-    /// same shard (an object never migrates on update — stable locality
-    /// keeps routing deterministic). An unknown id inserts via routing.
-    /// Returns the shard and whether an existing entry was replaced.
+    /// Replace a summary: delete wherever it lives and reinsert into that
+    /// same shard in **one commit** (one epoch of the owning shard), so no
+    /// pinned snapshot ever sees the id missing. An object never migrates
+    /// on update — stable locality keeps routing deterministic. An
+    /// unknown id inserts via routing. Returns the shard and whether an
+    /// existing entry was replaced.
     pub fn update(&self, entry: ObjectSummary<D>) -> Result<(usize, bool), StoreError> {
-        match self.delete(entry.id)? {
-            Some(shard) => {
-                self.shards[shard].write_if(|ix| changed(ix.insert_summary(entry)))?;
-                Ok((shard, true))
-            }
-            None => {
-                let (shard, _) = self.insert(entry)?;
-                Ok((shard, false))
+        let id = entry.id;
+        let mut pending = Some(entry);
+        for (i, shard) in self.shards.iter().enumerate() {
+            let replaced = shard.write_if(|ix| match ix.delete_id(id) {
+                // The delete already changed the master copy, so publish
+                // even if the reinsert fails: master and snapshot agree.
+                Ok(true) => {
+                    let entry = pending.take().expect("only the owning shard reinserts");
+                    (true, ix.insert_summary(entry).map(|_| true))
+                }
+                other => (false, other),
+            })?;
+            if replaced {
+                return Ok((i, true));
             }
         }
+        let (shard, _) = self.insert(pending.take().expect("no shard held the id"))?;
+        Ok((shard, false))
     }
 
     /// True when some shard holds `id` (in its published snapshot).

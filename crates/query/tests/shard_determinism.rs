@@ -445,6 +445,65 @@ fn compaction_under_pinned_snapshots_is_byte_identical() {
     std::fs::remove_file(&store_path).ok();
 }
 
+/// `update` is one commit on the owning shard: a reader pinning snapshot
+/// vectors while a writer updates the same ids over and over never finds
+/// an id missing from every shard, and each update advances the owning
+/// shard's epoch by exactly one while every other shard stays put.
+#[test]
+fn update_publishes_one_epoch_and_readers_never_miss_the_id() {
+    use fuzzy_index::NodeAccess;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let store = Arc::new(MemStore::from_objects(objects(48)).unwrap());
+    let forest = mem_forest(&store, 4);
+    let regions = forest.iter().map(|t| t.root_mbr()).collect();
+    let dynamic = ShardedDynamicEngine::new(forest, regions, Arc::clone(&store));
+    let watched: Vec<ObjectId> = [0u64, 7, 23, 40].map(ObjectId).to_vec();
+    let done = AtomicBool::new(false);
+    // Stops the reader however the writer loop ends, so a failed
+    // assertion fails the test instead of hanging it.
+    struct StopOnDrop<'a>(&'a AtomicBool);
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Release);
+        }
+    }
+
+    std::thread::scope(|scope| {
+        let reader = scope.spawn(|| {
+            let mut pins = 0u64;
+            while !done.load(Ordering::Acquire) || pins == 0 {
+                let snapshots = dynamic.snapshots();
+                for &id in &watched {
+                    assert!(
+                        snapshots.iter().any(|s| s.contains_id(id)),
+                        "a pinned snapshot vector lost {id} mid-update"
+                    );
+                }
+                pins += 1;
+            }
+            pins
+        });
+
+        let stop = StopOnDrop(&done);
+        for round in 0..200 {
+            let id = watched[round % watched.len()];
+            let summary = store.summaries().iter().find(|s| s.id == id).copied().unwrap();
+            let before = dynamic.epochs();
+            let (shard, replaced) = dynamic.update(summary).unwrap();
+            assert!(replaced, "round {round}: {id} must be replaced in place");
+            let after = dynamic.epochs();
+            for (i, (b, a)) in before.iter().zip(&after).enumerate() {
+                let want = if i == shard { b + 1 } else { *b };
+                assert_eq!(*a, want, "round {round}: shard {i} epoch after updating {id}");
+            }
+        }
+        drop(stop);
+        assert!(reader.join().unwrap() > 0);
+    });
+    assert_eq!(dynamic.len(), 48);
+}
+
 /// The metric seam under `Metric = L2`: every explicit `*_in(&L2, ..)`
 /// entry point must fingerprint **bit-identically** against its committed
 /// plain counterpart — single-tree AKNN (lazy and exact), RKNN on every

@@ -149,13 +149,12 @@ pub fn is_metric_path(path: &str) -> bool {
     std::path::Path::new(path).extension().is_some_and(|e| e.eq_ignore_ascii_case("fzmt"))
 }
 
-/// Does `path` name an approximate candidate index (by extension)?
-/// These cannot back the serve path — they generate candidates, they do
-/// not answer queries — so a SWAP to one is an [`ErrorCode::IndexMismatch`].
+/// Does `path` name an approximate candidate index (a `.fzvp` VP-tree,
+/// by extension)? It cannot back the serve path — it generates
+/// candidates, it does not answer queries — so a SWAP to one is an
+/// [`ErrorCode::IndexMismatch`].
 pub fn is_approx_path(path: &str) -> bool {
-    std::path::Path::new(path)
-        .extension()
-        .is_some_and(|e| e.eq_ignore_ascii_case("fzlh") || e.eq_ignore_ascii_case("fzvp"))
+    std::path::Path::new(path).extension().is_some_and(|e| e.eq_ignore_ascii_case("fzvp"))
 }
 
 /// Where the server listens.
@@ -675,11 +674,10 @@ fn run_job(shared: &Arc<Shared>, scratch: &mut WorkerScratch, job: Job) {
 }
 
 /// Execute one request against a metric snapshot. AKNN goes through the
-/// covering-ball search (`metric_aknn`); it has no deadline hook, so a
-/// request's `deadline_ms` is accepted but not enforced on this backend
-/// (documented in PROTOCOL.md). RKNN rides the tree's `NodeAccess` face
-/// through the classic engine, deadlines included. Both lanes catch
-/// panics at the per-query boundary like the other backends.
+/// covering-ball search (`metric_aknn`), RKNN rides the tree's
+/// `NodeAccess` face through the classic engine; both enforce the
+/// request's deadline and catch panics at the per-query boundary like
+/// the other backends.
 fn execute_metric(
     tree: &MTree<WIRE_DIMS>,
     store: &FileStore<WIRE_DIMS>,
@@ -687,7 +685,7 @@ fn execute_metric(
     scratch: &mut QueryScratch<WIRE_DIMS>,
 ) -> Result<BatchResponse, QueryError> {
     match request {
-        BatchRequest::Aknn { query, k, alpha, cfg: _ } => {
+        BatchRequest::Aknn { query, k, alpha, cfg } => {
             // `Threshold::at` panics outside [0, 1]; validate like the
             // exact engine does so a bad wire alpha stays a typed error.
             if !(*alpha > 0.0 && *alpha <= 1.0) {
@@ -695,7 +693,7 @@ fn execute_metric(
             }
             let t = Threshold::at(*alpha);
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                metric_aknn(&L2, tree, store, query, *k, t)
+                metric_aknn(&L2, tree, store, query, *k, t, cfg.deadline)
             }))
             .unwrap_or_else(|payload| {
                 let message = if let Some(s) = payload.downcast_ref::<&str>() {

@@ -503,7 +503,7 @@ fn shutdown_frame_stops_the_daemon() {
 fn metric_index_serves_and_mismatched_swaps_are_typed() {
     use fuzzy_core::metric::{GraphMetric, RoadNetwork, L2};
     use fuzzy_core::Threshold;
-    use fuzzy_index::{LshConfig, LshIndex, MTree, MTreeConfig};
+    use fuzzy_index::{MTree, MTreeConfig, VpTree, VpTreeConfig};
     use fuzzy_query::metric_aknn;
     use std::sync::Arc;
 
@@ -519,8 +519,8 @@ fn metric_index_serves_and_mismatched_swaps_are_typed() {
     mtree.save(&mtree_path).unwrap();
 
     // A pristine approximate index: structurally valid, still unservable.
-    let lsh_path = base.join(format!("fuzzy-serve-metric-{pid}.fzlh"));
-    LshIndex::build(store.summaries(), LshConfig::default()).save(&lsh_path).unwrap();
+    let vp_path = base.join(format!("fuzzy-serve-metric-{pid}.fzvp"));
+    VpTree::build(&L2, store.summaries(), VpTreeConfig::default()).save(&vp_path).unwrap();
 
     // A metric tree under the graph metric: valid file, wrong metric.
     let net = RoadNetwork::new(
@@ -539,7 +539,8 @@ fn metric_index_serves_and_mismatched_swaps_are_typed() {
         .iter()
         .map(|&(id, k, alpha)| {
             let q = store.probe(ObjectId(id)).unwrap();
-            let r = metric_aknn(&L2, &mtree, &store, &q, k as usize, Threshold::at(alpha)).unwrap();
+            let r = metric_aknn(&L2, &mtree, &store, &q, k as usize, Threshold::at(alpha), None)
+                .unwrap();
             fingerprint(&r.neighbors)
         })
         .collect();
@@ -553,7 +554,7 @@ fn metric_index_serves_and_mismatched_swaps_are_typed() {
     client.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
 
     // Mismatched swaps first: typed rejection, the live index is untouched.
-    for (target, needle) in [(&lsh_path, "approximate"), (&graph_path, "metric 'graph'")] {
+    for (target, needle) in [(&vp_path, "approximate"), (&graph_path, "metric 'graph'")] {
         match client.call(&Request::Swap { index_path: target.display().to_string() }).unwrap() {
             Response::Error { code, message } => {
                 assert_eq!(code, ErrorCode::IndexMismatch, "swap to {}", target.display());
@@ -606,7 +607,7 @@ fn metric_index_serves_and_mismatched_swaps_are_typed() {
     }
 
     handle.stop();
-    for p in [&path, &mtree_path, &lsh_path, &graph_path] {
+    for p in [&path, &mtree_path, &vp_path, &graph_path] {
         std::fs::remove_file(p).ok();
     }
 }

@@ -145,7 +145,7 @@ mod tests {
     #[test]
     fn roundtrip_rebuilds_identical_distances() {
         let net = grid();
-        let dir = std::env::temp_dir().join("fzrn_roundtrip_test");
+        let dir = std::env::temp_dir().join(format!("fzrn-roundtrip-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.fzrn");
         save_road_network(&net, &path).unwrap();
@@ -157,13 +157,13 @@ mod tests {
                 assert_eq!(net.shortest_path(u, v).to_bits(), back.shortest_path(u, v).to_bits(),);
             }
         }
-        fs::remove_file(&path).ok();
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn bitflip_is_rejected() {
         let net = grid();
-        let dir = std::env::temp_dir().join("fzrn_corrupt_test");
+        let dir = std::env::temp_dir().join(format!("fzrn-corrupt-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.fzrn");
         save_road_network(&net, &path).unwrap();
@@ -172,6 +172,6 @@ mod tests {
         bytes[mid] ^= 0x01;
         fs::write(&path, &bytes).unwrap();
         assert!(matches!(load_road_network::<2>(&path), Err(StoreError::Corrupt { .. })));
-        fs::remove_file(&path).ok();
+        fs::remove_dir_all(&dir).ok();
     }
 }
